@@ -143,4 +143,19 @@ if [ -z "$ANN_PASSED" ] || [ "$ANN_PASSED" -lt 7 ]; then
 fi
 echo "ann equivalence gate OK: $ANN_PASSED ivf-vs-brute tests ran"
 
+echo "==> fold equivalence gate: fused vs unfused query projection must actually run"
+# The fold_equivalence suite proves the fused projection kᵀP - b
+# (DESIGN.md §18) matches the per-query ICD substitution + centered CCA
+# gemv it replaced: relative tolerance, top-k agreement on the brute
+# and IVF arms, thread-count and scratch-reuse bitwise checks; a
+# filtered-out or silently skipped run must fail CI.
+FOLD_OUT=$(cargo test -q -p qpp-ml --test fold_equivalence 2>&1) || {
+    echo "$FOLD_OUT"; exit 1; }
+FOLD_PASSED=$(echo "$FOLD_OUT" | sed -n 's/.*test result: ok\. \([0-9]*\) passed.*/\1/p' | head -1)
+if [ -z "$FOLD_PASSED" ] || [ "$FOLD_PASSED" -lt 4 ]; then
+    echo "fold equivalence gate: expected >= 4 fold_equivalence tests to run, got '${FOLD_PASSED:-none}'"
+    exit 1
+fi
+echo "fold equivalence gate OK: $FOLD_PASSED fused-vs-unfused tests ran"
+
 echo "CI OK"

@@ -57,6 +57,22 @@ pub enum QppError {
         /// not `Clone` and serving clones errors across a micro-batch).
         source: Arc<ModelIoError>,
     },
+    /// A query feature vector does not have the length the model was
+    /// trained on.
+    FeatureLength {
+        /// Feature count the model expects.
+        expected: usize,
+        /// Feature count supplied.
+        found: usize,
+    },
+    /// A query feature is NaN or infinite. Its kernel row would collapse
+    /// and the projection land on a fixed point, so it is refused.
+    NonFiniteFeature {
+        /// Position of the first non-finite feature.
+        index: usize,
+        /// Its value.
+        value: f64,
+    },
     /// The serving queue was full; the request was shed (capacity is
     /// the queue's configured limit).
     QueueFull {
@@ -92,7 +108,9 @@ impl QppError {
             QppError::Linalg { context: c, .. }
             | QppError::Knn { context: c, .. }
             | QppError::ModelIo { context: c, .. } => *c = context,
-            QppError::QueueFull { .. }
+            QppError::FeatureLength { .. }
+            | QppError::NonFiniteFeature { .. }
+            | QppError::QueueFull { .. }
             | QppError::TenantQuotaExceeded { .. }
             | QppError::ShuttingDown
             | QppError::UnknownModel { .. } => {}
@@ -119,6 +137,13 @@ impl fmt::Display for QppError {
             QppError::Linalg { context, source } => layered(f, "linalg", context, source),
             QppError::Knn { context, source } => layered(f, "knn", context, source),
             QppError::ModelIo { context, source } => layered(f, "model-io", context, source),
+            QppError::FeatureLength { expected, found } => write!(
+                f,
+                "query feature vector has {found} entries, the model expects {expected}"
+            ),
+            QppError::NonFiniteFeature { index, value } => {
+                write!(f, "query feature {index} is not finite ({value})")
+            }
             QppError::QueueFull { capacity } => {
                 write!(f, "serving queue is full (capacity {capacity})")
             }
@@ -140,7 +165,9 @@ impl std::error::Error for QppError {
             QppError::Linalg { source, .. } => Some(source),
             QppError::Knn { source, .. } => Some(source),
             QppError::ModelIo { source, .. } => Some(source.as_ref()),
-            QppError::QueueFull { .. }
+            QppError::FeatureLength { .. }
+            | QppError::NonFiniteFeature { .. }
+            | QppError::QueueFull { .. }
             | QppError::TenantQuotaExceeded { .. }
             | QppError::ShuttingDown
             | QppError::UnknownModel { .. } => None,

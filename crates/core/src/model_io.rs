@@ -16,7 +16,12 @@ use std::path::Path;
 /// v2: `KccaPredictor` stores an `AnnIndex` (brute/IVF enum) where v1
 /// stored a bare `NearestNeighbors`, and `PredictorOptions` gained the
 /// `ann` block.
-pub const FORMAT_VERSION: u32 = 2;
+///
+/// v3: `Kcca` stores the fused query projection `P = L⁻ᵀ Wx` and its
+/// offset `b = μᵀ Wx`, and keeps neither the query-side incomplete-
+/// Cholesky factor (`n x r`) nor the CCA weights, which predictions
+/// stopped reading; only the canonical correlations remain of the CCA.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Errors from model (de)serialization.
 #[derive(Debug)]
@@ -216,25 +221,67 @@ mod tests {
         assert!(matches!(from_json("{not json"), Err(ModelIoError::Json(_))));
     }
 
+    const CURRENT: &str = "\"format_version\":3";
+
+    fn rejects_version(json: &str, version: u32) {
+        let relabeled = json.replace(CURRENT, &format!("\"format_version\":{version}"));
+        match from_json(&relabeled) {
+            Err(ModelIoError::UnsupportedVersion { found, supported }) => {
+                assert_eq!(found, version);
+                assert_eq!(supported, FORMAT_VERSION);
+            }
+            other => panic!("expected UnsupportedVersion, got {other:?}"),
+        }
+    }
+
     #[test]
     fn envelope_records_current_version() {
         let (m, _) = model();
         let json = to_json(&m).unwrap();
-        assert!(json.contains("\"format_version\":2"));
+        assert!(json.contains(CURRENT));
         assert!(json.contains("fnv1a64:"));
     }
 
     #[test]
     fn future_version_rejected_with_typed_error() {
         let (m, _) = model();
-        let json = to_json(&m).unwrap();
-        let bumped = json.replace("\"format_version\":2", "\"format_version\":99");
-        match from_json(&bumped) {
-            Err(ModelIoError::UnsupportedVersion { found, supported }) => {
-                assert_eq!(found, 99);
-                assert_eq!(supported, FORMAT_VERSION);
+        rejects_version(&to_json(&m).unwrap(), 99);
+    }
+
+    #[test]
+    fn v2_envelope_rejected_with_typed_error() {
+        // A v2 payload carries the ICD factor and no fused projection;
+        // it must fail on the version, before any payload decoding.
+        let (m, _) = model();
+        rejects_version(&to_json(&m).unwrap(), 2);
+    }
+
+    #[test]
+    fn v3_round_trip_is_bitwise() {
+        let (m, d) = model();
+        let back = from_json(&to_json(&m).unwrap()).unwrap();
+        let bits = |mat: &qpp_linalg::Matrix| -> Vec<u64> {
+            mat.as_slice().iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(
+            bits(m.kcca().fused_projection()),
+            bits(back.kcca().fused_projection())
+        );
+        let offset = |k: &qpp_ml::Kcca| -> Vec<u64> {
+            k.fused_offset().iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(offset(m.kcca()), offset(back.kcca()));
+        for r in d.records.iter().take(10) {
+            let a = m.predict(&r.spec, &r.optimized.plan).unwrap();
+            let b = back.predict(&r.spec, &r.optimized.plan).unwrap();
+            for (x, y) in a.metrics.to_vec().iter().zip(b.metrics.to_vec().iter()) {
+                assert_eq!(x.to_bits(), y.to_bits());
             }
-            other => panic!("expected UnsupportedVersion, got {other:?}"),
+            assert_eq!(a.neighbor_indices, b.neighbor_indices);
+            assert_eq!(
+                a.max_kernel_similarity.to_bits(),
+                b.max_kernel_similarity.to_bits()
+            );
         }
     }
 

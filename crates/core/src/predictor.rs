@@ -281,15 +281,42 @@ impl KccaPredictor {
         &self.index
     }
 
+    /// Rejects a raw feature vector the model cannot answer for: the
+    /// wrong length (standardization would silently zip it to the
+    /// shorter side) or a NaN/infinite entry (the kernel row would
+    /// collapse and be answered from a fixed point). Checked once,
+    /// before standardizing; allocates nothing.
+    // qpp-lint: hot-path
+    fn check_features(&self, features: &[f64]) -> Result<(), QppError> {
+        let expected = self.kcca.x_dim();
+        if features.len() != expected {
+            return Err(QppError::FeatureLength {
+                expected,
+                found: features.len(),
+            });
+        }
+        match features.iter().position(|v| !v.is_finite()) {
+            Some(index) => Err(QppError::NonFiniteFeature {
+                index,
+                value: features[index],
+            }),
+            None => Ok(()),
+        }
+    }
+
     /// Predicts from a raw query feature vector.
     ///
-    /// The steady-state hot path: standardization, kernel row, ICD
-    /// embedding, CCA projection and kNN combine all write into
-    /// thread-local scratch buffers, so once a thread's buffers have
-    /// warmed up to the model's dimensions this performs **zero heap
-    /// allocations** (guarded by the `alloc_regression` test).
+    /// The steady-state hot path: standardization, the fused kernel-row
+    /// projection and kNN combine all write into thread-local scratch
+    /// buffers, so once a thread's buffers have warmed up to the
+    /// model's dimensions this performs **zero heap allocations**
+    /// (guarded by the `alloc_regression` test).
+    ///
+    /// A vector of the wrong length or with a non-finite entry fails
+    /// with [`QppError::FeatureLength`] / [`QppError::NonFiniteFeature`].
     // qpp-lint: hot-path
     pub fn predict_features(&self, features: &[f64]) -> Result<Prediction, QppError> {
+        self.check_features(features)?;
         SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
             {
@@ -323,7 +350,9 @@ impl KccaPredictor {
     /// per-row floating-point operations in the same order, the batch
     /// path merely shares one contiguous scaled matrix and amortizes
     /// scratch buffers across queries (see
-    /// `Kcca::project_queries_with_similarity`).
+    /// `Kcca::project_queries_with_similarity`). Rows are checked as in
+    /// [`KccaPredictor::predict_features`]; the first bad row fails the
+    /// whole batch.
     pub fn predict_features_batch(
         &self,
         rows: MatrixView<'_>,
@@ -332,6 +361,7 @@ impl KccaPredictor {
         batch_span.set_value(rows.rows() as u64);
         let mut scaled = Matrix::zeros(rows.rows(), rows.cols());
         for i in 0..rows.rows() {
+            self.check_features(rows.row(i))?;
             self.scaler.transform_row_to(rows.row(i), scaled.row_mut(i));
         }
         let projections = self
@@ -526,6 +556,52 @@ mod tests {
         );
         assert!(p_out.is_anomalous(f64::INFINITY, 1e-3));
         assert!(!p_in.is_anomalous(f64::INFINITY, 1e-3));
+    }
+
+    #[test]
+    fn hostile_feature_vectors_are_rejected_with_typed_errors() {
+        let train = dataset(80, 17);
+        let model = KccaPredictor::train(&train, PredictorOptions::default()).unwrap();
+        let dim = crate::features::PlanFeatures::DIM;
+        let good = query_features(
+            FeatureKind::QueryPlan,
+            &train.records[0].spec,
+            &train.records[0].optimized.plan,
+        );
+        assert!(model.predict_features(&good).is_ok());
+        // Too short and empty: standardizing would zip them to the
+        // shorter slice.
+        for len in [dim / 2, 0] {
+            match model.predict_features(&good[..len]) {
+                Err(QppError::FeatureLength { expected, found }) => {
+                    assert_eq!((expected, found), (dim, len));
+                }
+                other => panic!("length {len}: expected FeatureLength, got {other:?}"),
+            }
+        }
+        // +inf would collapse the projection to a fixed point; NaN
+        // would surface only in the kNN.
+        for (index, value) in [(3, f64::INFINITY), (5, f64::NAN)] {
+            let mut bad = good.clone();
+            bad[index] = value;
+            match model.predict_features(&bad) {
+                Err(QppError::NonFiniteFeature { index: i, .. }) => assert_eq!(i, index),
+                other => panic!("{value}: expected NonFiniteFeature, got {other:?}"),
+            }
+            // The batch path rejects the same row the same way.
+            let mut rows = Matrix::zeros(2, dim);
+            rows.row_mut(0).copy_from_slice(&good);
+            rows.row_mut(1).copy_from_slice(&bad);
+            assert!(matches!(
+                model.predict_features_batch(rows.view()),
+                Err(QppError::NonFiniteFeature { index: i, .. }) if i == index
+            ));
+        }
+        let wide = Matrix::zeros(1, dim + 1);
+        assert!(matches!(
+            model.predict_features_batch(wide.view()),
+            Err(QppError::FeatureLength { found, .. }) if found == dim + 1
+        ));
     }
 
     #[test]

@@ -200,18 +200,9 @@ impl IncompleteCholesky {
     /// `kernel_at_pivots[t]` must be `k(x_new, pivot_t)` in pivot order.
     /// The embedding satisfies `g_new · g_iᵀ ≈ k(x_new, x_i)` for training
     /// points `i`, i.e. new points live in the same approximate feature
-    /// space as the training rows of `G`.
+    /// space as the training rows of `G`: `g_new = L⁻¹ k`, with `L` the
+    /// pivot block (see [`IncompleteCholesky::solve_pivot_transpose`]).
     pub fn transform_new(&self, kernel_at_pivots: &[f64]) -> Result<Vec<f64>> {
-        let mut out = Vec::with_capacity(self.rank());
-        self.transform_new_into(kernel_at_pivots, &mut out)?;
-        Ok(out)
-    }
-
-    /// Like [`IncompleteCholesky::transform_new`], writing into a
-    /// reusable buffer: after warmup the buffer's capacity is retained,
-    /// so steady-state embeddings allocate nothing.
-    // qpp-lint: hot-path
-    pub fn transform_new_into(&self, kernel_at_pivots: &[f64], out: &mut Vec<f64>) -> Result<()> {
         let r = self.rank();
         if kernel_at_pivots.len() != r {
             return Err(LinalgError::ShapeMismatch {
@@ -222,8 +213,7 @@ impl IncompleteCholesky {
         }
         // Forward substitution against the lower-triangular pivot block
         // G[pivots, :] (triangular in selection order by construction).
-        out.clear();
-        out.resize(r, 0.0);
+        let mut out = vec![0.0; r];
         for t in 0..r {
             let p = self.pivots[t];
             let mut v = kernel_at_pivots[t];
@@ -232,7 +222,47 @@ impl IncompleteCholesky {
             }
             out[t] = v / self.g[(p, t)];
         }
-        Ok(())
+        Ok(out)
+    }
+
+    /// Solves `Lᵀ X = B` by back substitution, where `L = G[pivots, :]`
+    /// is the `r x r` lower-triangular pivot block.
+    ///
+    /// Since every new point embeds as `L⁻¹ k`, any linear map `W`
+    /// applied after the embedding folds into the kernel row:
+    /// `(L⁻¹ k)ᵀ W = kᵀ (L⁻ᵀ W)`. This returns that folded `L⁻ᵀ W`
+    /// (`r x B.cols()`), so a caller can skip the per-point
+    /// substitution entirely. Serial and fixed-order: bitwise
+    /// reproducible for any thread count.
+    pub fn solve_pivot_transpose(&self, b: &Matrix) -> Result<Matrix> {
+        let r = self.rank();
+        if b.rows() != r {
+            return Err(LinalgError::ShapeMismatch {
+                op: "icd solve_pivot_transpose",
+                lhs: (r, r),
+                rhs: b.shape(),
+            });
+        }
+        let c = b.cols();
+        let mut x = b.clone();
+        // Row t of X depends on rows s > t: Lᵀ[t, s] = L[s, t] =
+        // G[pivots[s], t]. Whole rows update at once, so each inner
+        // step is a contiguous axpy over the c columns.
+        for t in (0..r).rev() {
+            let (head, tail) = x.as_mut_slice().split_at_mut((t + 1) * c);
+            let row = &mut head[t * c..];
+            for (s, solved) in tail.chunks_exact(c).enumerate() {
+                let l = self.g[(self.pivots[t + 1 + s], t)];
+                for (v, &xs) in row.iter_mut().zip(solved) {
+                    *v -= l * xs;
+                }
+            }
+            let diag = self.g[(self.pivots[t], t)];
+            for v in row.iter_mut() {
+                *v /= diag;
+            }
+        }
+        Ok(x)
     }
 }
 
@@ -340,6 +370,43 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn solve_pivot_transpose_folds_the_embedding() {
+        // (L⁻¹ k)ᵀ W must equal kᵀ (L⁻ᵀ W) up to rounding.
+        let pts = gaussian_points();
+        let n = pts.len();
+        let icd = IncompleteCholesky::factor(
+            n,
+            |i, j| kernel(&pts[i], &pts[j]),
+            IcdOptions {
+                max_rank: 7,
+                relative_tolerance: 0.0,
+            },
+        )
+        .unwrap();
+        let r = icd.rank();
+        let w = Matrix::from_fn(r, 3, |i, j| ((i * 3 + j) as f64 * 0.37).sin());
+        let folded = icd.solve_pivot_transpose(&w).unwrap();
+        assert_eq!(folded.shape(), (r, 3));
+        for probe in [[0.3, -1.2], [2.0, 0.5], [-2.5, 1.7]] {
+            let k_row: Vec<f64> = icd
+                .pivots()
+                .iter()
+                .map(|&p| kernel(&probe, &pts[p]))
+                .collect();
+            let emb = icd.transform_new(&k_row).unwrap();
+            for j in 0..3 {
+                let unfused = vector::sum_iter((0..r).map(|t| emb[t] * w[(t, j)]));
+                let fused = vector::sum_iter((0..r).map(|t| k_row[t] * folded[(t, j)]));
+                assert!(
+                    (unfused - fused).abs() <= 1e-9 * unfused.abs().max(1.0),
+                    "col {j}: {unfused} vs {fused}"
+                );
+            }
+        }
+        assert!(icd.solve_pivot_transpose(&Matrix::zeros(r + 1, 2)).is_err());
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::fmt;
 use std::ops::{Index, IndexMut};
 
 /// Output columns fixed per pass of
-/// [`Matrix::gemv_t_centered_into`] — a stack-resident accumulator
+/// [`Matrix::gemv_t_into`] — a stack-resident accumulator
 /// block (128 bytes, two cache lines) that one streaming pass over the
 /// matrix keeps hot. Covers the workspace's KCCA projections (≤ 16
 /// canonical dims) in a single pass.
@@ -224,7 +224,17 @@ impl Matrix {
     }
 
     /// Centered vector-matrix product `out = (row - means)ᵀ · self`,
-    /// column-blocked for cache reuse.
+    /// column-blocked for cache reuse (see [`Matrix::gemv_t_into`] for
+    /// the blocking and its bitwise guarantee).
+    // qpp-lint: hot-path
+    pub fn gemv_t_centered_into(&self, row: &[f64], means: &[f64], out: &mut Vec<f64>) {
+        debug_assert_eq!(row.len(), self.rows);
+        debug_assert_eq!(means.len(), self.rows);
+        self.gemv_t_blocked(|| row.iter().zip(means).map(|(&v, &mu)| v - mu), out);
+    }
+
+    /// Vector-matrix product `out = rowᵀ · self`, column-blocked for
+    /// cache reuse.
     ///
     /// This is the projection kernel of the predict hot path: `self` is
     /// a tall-thin weight matrix (`p x keep`, row-major), and the naive
@@ -235,13 +245,19 @@ impl Matrix {
     ///
     /// Bitwise equal to the naive loop: per output element the partial
     /// sums accumulate in exactly the same order (ascending row index,
-    /// zero centered components skipped, one `+=` per touched row) —
-    /// blocking changes *which* elements a pass touches, never the
-    /// association within one. `tests/properties.rs` pins this.
+    /// zero components skipped, one `+=` per touched row) — blocking
+    /// changes *which* elements a pass touches, never the association
+    /// within one. `tests/properties.rs` pins this.
     // qpp-lint: hot-path
-    pub fn gemv_t_centered_into(&self, row: &[f64], means: &[f64], out: &mut Vec<f64>) {
+    pub fn gemv_t_into(&self, row: &[f64], out: &mut Vec<f64>) {
         debug_assert_eq!(row.len(), self.rows);
-        debug_assert_eq!(means.len(), self.rows);
+        self.gemv_t_blocked(|| row.iter().copied(), out);
+    }
+
+    /// Shared body of the two gemv kernels: `coeffs()` yields the
+    /// per-row multipliers afresh for every column block.
+    // qpp-lint: hot-path
+    fn gemv_t_blocked<I: Iterator<Item = f64>>(&self, coeffs: impl Fn() -> I, out: &mut Vec<f64>) {
         let cols = self.cols;
         out.clear();
         out.resize(cols, 0.0);
@@ -249,8 +265,7 @@ impl Matrix {
         while k0 < cols {
             let width = GEMV_COL_BLOCK.min(cols - k0);
             let mut acc = [0.0f64; GEMV_COL_BLOCK];
-            for (i, (&v, &mu)) in row.iter().zip(means.iter()).enumerate() {
-                let c = v - mu;
+            for (i, c) in coeffs().enumerate() {
                 if c == 0.0 {
                     continue;
                 }

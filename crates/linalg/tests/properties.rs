@@ -184,5 +184,25 @@ proptest! {
         for (b, n) in blocked.iter().zip(naive.iter()) {
             prop_assert_eq!(b.to_bits(), n.to_bits());
         }
+        // The uncentered kernel (the fused KCCA projection) against
+        // its own naive loop, over a row with some exact zeros.
+        let mut plain_row = row.to_vec();
+        if rows > 3 {
+            plain_row[2] = 0.0;
+        }
+        let mut naive = vec![0.0; cols];
+        for (i, &c) in plain_row.iter().enumerate() {
+            if c == 0.0 {
+                continue;
+            }
+            for (k, o) in naive.iter_mut().enumerate() {
+                *o += c * w[(i, k)];
+            }
+        }
+        w.gemv_t_into(&plain_row, &mut blocked);
+        prop_assert_eq!(blocked.len(), naive.len());
+        for (b, n) in blocked.iter().zip(naive.iter()) {
+            prop_assert_eq!(b.to_bits(), n.to_bits());
+        }
     }
 }

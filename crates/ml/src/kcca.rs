@@ -11,6 +11,13 @@
 //! 3. Regularized linear CCA on the embeddings `Gx`, `Gy` — equivalent
 //!    to the kernelized generalized eigenproblem of the paper's Eq. (2)
 //!    restricted to the span of the pivots.
+//! 4. Fold the query side's embedding into its CCA weights. A new query
+//!    embeds as `g = L⁻¹ k` (`k` its kernel row against the pivots, `L`
+//!    the `r x r` pivot block of `Gx`) and projects as `(g - μ)ᵀ Wx`,
+//!    both linear, so the fit precomputes `P = L⁻ᵀ Wx` (`r x c`, one
+//!    back substitution) and the offset `b = μᵀ Wx`. A query then
+//!    projects as `kᵀ P - b`: one blocked gemv, no per-query
+//!    triangular solve, and the `n x r` factor `Gx` is not kept.
 //!
 //! The result is a pair of maximally correlated projections: `Kx A`
 //! ("query projection") and `Ky B` ("performance projection"). New
@@ -60,10 +67,15 @@ impl Default for KccaOptions {
 pub struct Kcca {
     x_kernel: GaussianKernel,
     y_kernel: GaussianKernel,
-    /// Query-side pivot points (rows of the training X at ICD pivots).
+    /// Query-side pivot points (rows of the training X at ICD pivots);
+    /// one per unit of query-side ICD rank.
     x_pivots: Matrix,
-    x_icd: IncompleteCholesky,
-    cca: Cca,
+    /// Canonical correlations, descending (one per component).
+    correlations: Vec<f64>,
+    /// Fused query projection `P = L⁻ᵀ Wx` (`rank x components`).
+    x_fold: Matrix,
+    /// Fused centering offset `b = μᵀ Wx` (one per component).
+    x_offset: Vec<f64>,
     /// Training query projection `Kx A` (one row per training point).
     x_projection: Matrix,
     /// Training performance projection `Ky B`.
@@ -117,9 +129,9 @@ impl Kcca {
             (x_icd, y_icd)
         };
 
-        let cca = {
+        let (cca, x_fold, x_offset) = {
             let _s = qpp_obs::span(qpp_obs::Stage::TrainEigensolve);
-            Cca::fit(
+            let cca = Cca::fit(
                 x_icd.g(),
                 y_icd.g(),
                 CcaOptions {
@@ -127,7 +139,23 @@ impl Kcca {
                     regularization: opts.regularization,
                     ..CcaOptions::default()
                 },
-            )?
+            )?;
+            // The fold is one more back-transform of the x-weights, so
+            // it books under that stage (nested in the eigensolve).
+            let _b = qpp_obs::span(qpp_obs::Stage::TrainEigenBacktransform);
+            let wx = cca.x_weights();
+            let x_fold = x_icd.solve_pivot_transpose(wx)?;
+            let x_offset: Vec<f64> = (0..wx.cols())
+                .map(|k| {
+                    vector::sum_iter(
+                        cca.x_means()
+                            .iter()
+                            .enumerate()
+                            .map(|(i, &mu)| mu * wx[(i, k)]),
+                    )
+                })
+                .collect();
+            (cca, x_fold, x_offset)
         };
         let x_projection = cca.project_x_matrix(x_icd.g());
         let y_projection = cca.project_y_matrix(y_icd.g());
@@ -136,8 +164,9 @@ impl Kcca {
             x_kernel,
             y_kernel,
             x_pivots,
-            x_icd,
-            cca,
+            correlations: cca.correlations,
+            x_fold,
+            x_offset,
             x_projection,
             y_projection,
         })
@@ -155,17 +184,34 @@ impl Kcca {
 
     /// Canonical correlations achieved on the training set.
     pub fn correlations(&self) -> &[f64] {
-        &self.cca.correlations
+        &self.correlations
     }
 
     /// Number of canonical components.
     pub fn components(&self) -> usize {
-        self.cca.components()
+        self.correlations.len()
     }
 
     /// Achieved incomplete-Cholesky rank on the query side.
     pub fn x_rank(&self) -> usize {
-        self.x_icd.rank()
+        self.x_pivots.rows()
+    }
+
+    /// Length of the query feature vectors the model was fitted on.
+    pub fn x_dim(&self) -> usize {
+        self.x_pivots.cols()
+    }
+
+    /// The fused query projection `P = L⁻ᵀ Wx` (`x_rank() x
+    /// components()`): a new query's kernel row `k` against the pivots
+    /// projects as `kᵀ P - b` (see [`Kcca::fused_offset`]).
+    pub fn fused_projection(&self) -> &Matrix {
+        &self.x_fold
+    }
+
+    /// The fused centering offset `b = μᵀ Wx`.
+    pub fn fused_offset(&self) -> &[f64] {
+        &self.x_offset
     }
 
     /// The fitted query-side kernel.
@@ -198,8 +244,7 @@ impl Kcca {
     ) -> Result<(Vec<f64>, f64), LinalgError> {
         // One pipeline, two entry points: the owned path is just the
         // `_into` path with cold buffers, so the kernel-row/similarity/
-        // ICD steps can never drift apart again (they used to be
-        // hand-duplicated here).
+        // projection steps can never drift apart.
         let mut scratch = ProjectionScratch::new();
         let mut out = Vec::with_capacity(self.components());
         let similarity = self.project_query_into(features, &mut scratch, &mut out)?;
@@ -207,8 +252,8 @@ impl Kcca {
     }
 
     /// Projects a batch of query feature vectors (one per row of the
-    /// view), amortizing the kernel-row and embedding buffers across
-    /// queries within a chunk.
+    /// view), amortizing the kernel-row buffer across queries within a
+    /// chunk.
     ///
     /// Row `i` of the result is exactly what
     /// [`Kcca::project_query_with_similarity`] returns for `rows.row(i)`
@@ -237,11 +282,15 @@ impl Kcca {
     }
 
     /// Projects a query into a reusable output buffer, returning the
-    /// largest kernel evaluation against the pivots. `scratch` holds the
-    /// kernel-row and ICD-embedding buffers; once all three buffers have
-    /// warmed up to the model's dimensions, this performs no heap
-    /// allocation. Bitwise equal to
-    /// [`Kcca::project_query_with_similarity`].
+    /// largest kernel evaluation against the pivots: the kernel row `k`
+    /// goes through the fused projection as `kᵀ P - b`. `scratch` holds
+    /// the kernel-row buffer; once it and `out` have warmed up to the
+    /// model's dimensions, this performs no heap allocation. Every
+    /// projection entry point (single, batch, serving) runs through
+    /// here, so they are all bitwise equal.
+    ///
+    /// Fails with a shape mismatch when `features` is not
+    /// [`Kcca::x_dim`] long.
     // qpp-lint: hot-path
     pub fn project_query_into(
         &self,
@@ -249,6 +298,13 @@ impl Kcca {
         scratch: &mut ProjectionScratch,
         out: &mut Vec<f64>,
     ) -> Result<f64, LinalgError> {
+        if features.len() != self.x_dim() {
+            return Err(LinalgError::ShapeMismatch {
+                op: "kcca project_query",
+                lhs: self.x_pivots.shape(),
+                rhs: (1, features.len()),
+            });
+        }
         scratch.k_row.clear();
         scratch.k_row.extend(
             self.x_pivots
@@ -256,25 +312,24 @@ impl Kcca {
                 .map(|p| self.x_kernel.eval(features, p)),
         );
         let similarity = vector::max_iter(0.0, scratch.k_row.iter().copied());
-        self.x_icd
-            .transform_new_into(&scratch.k_row, &mut scratch.embedded)?;
-        self.cca.project_x_into(&scratch.embedded, out);
+        self.x_fold.gemv_t_into(&scratch.k_row, out);
+        for (o, &b) in out.iter_mut().zip(&self.x_offset) {
+            *o -= b;
+        }
         Ok(similarity)
     }
 }
 
-/// Reusable buffers for [`Kcca::project_query_into`]: the kernel row
-/// against the pivots and the incomplete-Cholesky embedding. One scratch
-/// per worker thread is enough; buffers grow to the model's dimensions
-/// on first use and are then recycled.
+/// Reusable buffer for [`Kcca::project_query_into`]: the kernel row
+/// against the pivots. One scratch per worker thread is enough; the
+/// buffer grows to the model's rank on first use and is then recycled.
 #[derive(Debug, Default, Clone)]
 pub struct ProjectionScratch {
     k_row: Vec<f64>,
-    embedded: Vec<f64>,
 }
 
 impl ProjectionScratch {
-    /// Empty scratch; buffers are sized lazily on first projection.
+    /// Empty scratch; the buffer is sized lazily on first projection.
     pub fn new() -> Self {
         ProjectionScratch::default()
     }

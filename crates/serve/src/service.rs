@@ -631,6 +631,18 @@ fn answer_group(
         }
         return;
     }
+    predict_group(stats, policy, &entry, group, shard, drained_ns);
+}
+
+/// Answers a group with one batched KCCA pass through `entry`.
+fn predict_group(
+    stats: &ServiceStats,
+    policy: &AdmissionPolicy,
+    entry: &ModelEntry,
+    group: Vec<Queued>,
+    shard: usize,
+    drained_ns: u64,
+) {
     let queries: Vec<(&QuerySpec, &Plan)> = group
         .iter()
         .map(|q| (&q.request.spec, &q.request.plan))
@@ -663,7 +675,7 @@ fn answer_group(
                 respond(
                     stats,
                     policy,
-                    &entry,
+                    entry,
                     queued,
                     prediction,
                     shard,
@@ -672,9 +684,19 @@ fn answer_group(
                 );
             }
         }
+        // A request with malformed features fails the whole batch pass;
+        // answer the members one by one so only that request gets the
+        // error, not its batch-mates.
+        Err(QppError::FeatureLength { .. } | QppError::NonFiniteFeature { .. })
+            if group.len() > 1 =>
+        {
+            for queued in group {
+                predict_group(stats, policy, entry, vec![queued], shard, drained_ns);
+            }
+        }
         Err(e) => {
-            // One failure fans out to every member of the micro-batch;
-            // `QppError` is `Clone` precisely for this.
+            // Any other failure fans out to every member of the
+            // micro-batch; `QppError` is `Clone` precisely for this.
             for queued in group {
                 let _ = queued.responder.send(Err(e.clone()));
             }

@@ -635,3 +635,46 @@ fn responses_and_stats_are_tenant_attributed() {
         snap.completed + snap.fallbacks
     );
 }
+
+/// A request whose plan yields a non-finite feature is refused with a
+/// typed error, while the well-formed requests around it, which may
+/// share its micro-batch, are still answered by the model.
+#[test]
+fn non_finite_features_are_rejected_without_failing_batch_mates() {
+    let train = dataset(60, 131);
+    let (model, fallback) = trained(&train);
+    let key = ModelKey::new("neoview-4", FeatureKind::QueryPlan);
+    let registry = Arc::new(ModelRegistry::new());
+    registry.install(key.clone(), model, fallback);
+    let service = PredictionService::start(
+        Arc::clone(&registry),
+        ServeOptions {
+            workers: 1,
+            max_batch: 16,
+            ..ServeOptions::default()
+        },
+    );
+    let deadline = Duration::from_secs(30);
+    let mut hostile = request(&train, 0, &key, deadline);
+    hostile.plan.nodes[0].est_rows = f64::INFINITY;
+    // Same record on both sides, so every request lands in the same
+    // cost class and hence the same batch group.
+    let mut pending = Vec::new();
+    for i in 0..24 {
+        let r = if i == 9 {
+            hostile.clone()
+        } else {
+            request(&train, 0, &key, deadline)
+        };
+        pending.push((i == 9, service.submit_async(r).unwrap()));
+    }
+    for (is_hostile, p) in pending {
+        match (is_hostile, p.wait()) {
+            (true, Err(QppError::NonFiniteFeature { value, .. })) => assert!(value.is_infinite()),
+            (true, other) => panic!("expected NonFiniteFeature, got {other:?}"),
+            (false, Ok(r)) => assert_eq!(r.source, AnswerSource::Kcca),
+            (false, Err(e)) => panic!("well-formed request failed: {e}"),
+        }
+    }
+    service.shutdown();
+}

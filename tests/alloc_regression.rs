@@ -11,7 +11,7 @@ use qpp::core::pipeline::collect_tpcds;
 use qpp::core::{KccaPredictor, PredictorOptions};
 use qpp::engine::SystemConfig;
 use qpp::linalg::Matrix;
-use qpp::ml::{DistanceMetric, IvfIndex, IvfOptions, KnnScratch, NeighborWeighting};
+use qpp::ml::{AnnOptions, DistanceMetric, IvfIndex, IvfOptions, KnnScratch, NeighborWeighting};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
@@ -103,4 +103,31 @@ fn predict_features_steady_state_allocates_nothing() {
         "steady-state IVF predict_into performed {ivf_events} heap allocations over 32 calls"
     );
     assert_eq!(scratch.neighbors, warm_neighbors);
+
+    // And end to end through a model whose index took the IVF arm:
+    // fused projection plus IVF kNN, still alloc-free once warm.
+    let ivf_model = KccaPredictor::train(
+        &train,
+        PredictorOptions {
+            ann: AnnOptions {
+                ivf_threshold: 100,
+                ..AnnOptions::default()
+            },
+            ..PredictorOptions::default()
+        },
+    )
+    .unwrap();
+    assert!(ivf_model.index().is_ivf());
+    let warm = ivf_model.predict_features(&features).unwrap();
+    let before = ALLOC.allocation_events();
+    let mut last = None;
+    for _ in 0..32 {
+        last = Some(ivf_model.predict_features(&features).unwrap());
+    }
+    let model_events = ALLOC.allocation_events() - before;
+    assert_eq!(
+        model_events, 0,
+        "steady-state IVF-arm predict_features performed {model_events} heap allocations over 32 calls"
+    );
+    assert_eq!(warm.neighbor_indices, last.unwrap().neighbor_indices);
 }
